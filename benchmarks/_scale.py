@@ -12,9 +12,8 @@ import os
 from dataclasses import dataclass
 from typing import List
 
-from repro import SudowoodoConfig
-from repro.cleaning import cleaning_config
-from repro.columns import column_config
+from repro import SudowoodoConfig, SudowoodoSession
+from repro.cleaning import cleaning_corpus
 
 PROFILE = os.environ.get("REPRO_BENCH", "quick")
 FULL = PROFILE == "full"
@@ -103,7 +102,7 @@ def ec_config(seed: int = 0, **overrides) -> SudowoodoConfig:
         seed=seed,
     )
     defaults.update(overrides)
-    return cleaning_config(**defaults)
+    return SudowoodoConfig.for_task("clean", **defaults)
 
 
 def col_config(seed: int = 0, **overrides) -> SudowoodoConfig:
@@ -122,7 +121,25 @@ def col_config(seed: int = 0, **overrides) -> SudowoodoConfig:
         seed=seed,
     )
     defaults.update(overrides)
-    return column_config(**defaults)
+    return SudowoodoConfig.for_task("column_match", **defaults)
+
+
+def fit_match(config: SudowoodoConfig, dataset, label_budget: int):
+    """Pretrain a session on both tables of ``dataset`` and fit its
+    ``match`` task (blocking, pseudo-labels, fine-tuning); the session is
+    ``task.session``."""
+    session = SudowoodoSession(config)
+    session.pretrain(dataset.all_items())
+    return session.task("match").fit(dataset, label_budget=label_budget)
+
+
+def fit_clean(config: SudowoodoConfig, dataset, generator, labeled_rows: int):
+    """Pretrain a session on the cells of ``dataset`` plus their candidate
+    corrections, then fit its ``clean`` task.  ``pretrain_epochs=0`` in
+    ``config`` keeps only the MLM warm start (the "RoBERTa-base" row)."""
+    session = SudowoodoSession(config)
+    session.pretrain(cleaning_corpus(dataset, generator))
+    return session.task("clean").fit(dataset, generator, labeled_rows=labeled_rows)
 
 
 def once(benchmark, func):

@@ -1,18 +1,19 @@
-"""Session-reuse benchmark — pretrain-once + 3 tasks vs. 3 standalone
-drivers (no paper table; the economics behind the multi-purpose claim).
+"""Session-reuse benchmark — pretrain-once + 3 tasks vs. one fresh
+session per task (no paper table; the economics behind the
+multi-purpose claim).
 
 The dominant cost of every Sudowoodo workload is contrastive
-pre-training.  The legacy drivers (``SudowoodoPipeline``,
-``SudowoodoCleaner``, ``ColumnMatchingPipeline``) each pre-train their
-own encoder; a :class:`repro.api.SudowoodoSession` pre-trains **once**
-on the union corpus and attaches all three tasks to the shared encoder.
+pre-training.  Running each workload in its own
+:class:`repro.api.SudowoodoSession` pre-trains three encoders, one per
+task corpus; one session pre-trains **once** on the union corpus and
+attaches all three tasks to the shared encoder.
 
-Acceptance target: the session path completes entity matching + error
+Acceptance target: the shared session completes entity matching + error
 correction + column matching in **<= 1/2** the wall-clock of the three
-standalone drivers (>= 2x end-to-end speedup), at comparable task
-metrics (each task's F1 within ``METRIC_TOLERANCE`` of its standalone
-run — the tasks see identical labels; only the pre-training corpus
-differs, union vs. per-task).
+per-task sessions (>= 2x end-to-end speedup), at comparable task
+metrics (each task's F1 within ``METRIC_TOLERANCE`` of its per-task run
+— the tasks see identical labels; only the pre-training corpus differs,
+union vs. per-task).
 
 Run as a pytest benchmark for full-scale numbers, or as a script for a
 quick CI smoke check::
@@ -23,12 +24,9 @@ quick CI smoke check::
 
 import argparse
 import time
-import warnings
 
 from repro.api import SudowoodoConfig, SudowoodoSession
-from repro.cleaning import CandidateGenerator, SudowoodoCleaner, cleaning_corpus
-from repro.columns import ColumnMatchingPipeline
-from repro.core import SudowoodoPipeline
+from repro.cleaning import CandidateGenerator, cleaning_corpus
 from repro.data.generators import (
     generate_column_corpus,
     load_cleaning_dataset,
@@ -36,7 +34,7 @@ from repro.data.generators import (
 )
 from repro.eval import format_table
 
-METRIC_TOLERANCE = 0.35  # |session F1 - standalone F1| per task (small-scale noise)
+METRIC_TOLERANCE = 0.35  # |shared F1 - per-task F1| per task (small-scale noise)
 
 
 def _config(smoke: bool, **overrides) -> SudowoodoConfig:
@@ -74,8 +72,14 @@ def _datasets(smoke: bool):
     return em, beers, columns
 
 
+def _session(config: SudowoodoConfig, corpus) -> SudowoodoSession:
+    session = SudowoodoSession(config)
+    session.pretrain(corpus)
+    return session
+
+
 def run(smoke: bool = False) -> dict:
-    """Time 3 standalone drivers vs. one session serving all 3 tasks."""
+    """Time one fresh session per task vs. one session serving all 3."""
     em, beers, columns = _datasets(smoke)
     generator = CandidateGenerator().fit(beers)
     budget = 30 if smoke else 60
@@ -83,26 +87,33 @@ def run(smoke: bool = False) -> dict:
     column_k, column_labels = 5, 80 if smoke else 200
     max_values = 5
 
-    # ----------------------------------------------- standalone drivers
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        start = time.perf_counter()
-        pipeline = SudowoodoPipeline(_config(smoke))
-        em_report = pipeline.run(em, label_budget=budget)
-        cleaner = SudowoodoCleaner(
-            SudowoodoConfig.for_task("clean", **_overridable(_config(smoke)))
+    # --------------------------------------- one fresh session per task
+    start = time.perf_counter()
+    em_metrics = (
+        _session(_config(smoke), em.all_items())
+        .task("match")
+        .fit(em, label_budget=budget)
+        .evaluate("test")
+    )
+    clean_metrics = (
+        _session(
+            SudowoodoConfig.for_task("clean", **_overridable(_config(smoke))),
+            cleaning_corpus(beers, generator),
         )
-        cleaner.fit(beers, generator, labeled_rows=labeled_rows)
-        clean_report = cleaner.evaluate()
-        column_pipeline = ColumnMatchingPipeline(
+        .task("clean")
+        .fit(beers, generator, labeled_rows=labeled_rows)
+        .evaluate()
+    )
+    column_metrics = (
+        _session(
             SudowoodoConfig.for_task("column_match", **_overridable(_config(smoke))),
-            max_values_per_column=max_values,
+            columns.serialized(max_values=max_values),
         )
-        column_pipeline.pretrain_on(columns)
-        column_report = column_pipeline.train_and_evaluate(
-            k=column_k, num_labels=column_labels
-        )
-        legacy_seconds = time.perf_counter() - start
+        .task("column_match", max_values_per_column=max_values)
+        .fit(columns, k=column_k, num_labels=column_labels)
+        .evaluate()
+    )
+    per_task_seconds = time.perf_counter() - start
 
     # ------------------------------------------------- one shared session
     start = time.perf_counter()
@@ -126,15 +137,15 @@ def run(smoke: bool = False) -> dict:
     session_seconds = time.perf_counter() - start
 
     return {
-        "legacy_seconds": legacy_seconds,
+        "per_task_seconds": per_task_seconds,
         "session_seconds": session_seconds,
-        "speedup": legacy_seconds / session_seconds,
+        "speedup": per_task_seconds / session_seconds,
         "pretrain_seconds": session.timer.total("pretrain"),
         "metrics": {
-            "match": (em_report.f1, session_match_metrics.get("f1", 0.0)),
-            "clean": (clean_report.f1, session_clean_metrics.get("f1", 0.0)),
+            "match": (em_metrics["f1"], session_match_metrics.get("f1", 0.0)),
+            "clean": (clean_metrics["f1"], session_clean_metrics.get("f1", 0.0)),
             "column_match": (
-                column_report.test_metrics.get("f1", 0.0),
+                column_metrics.get("f1", 0.0),
                 session_column_metrics.get("f1", 0.0),
             ),
         },
@@ -155,7 +166,7 @@ def _overridable(config: SudowoodoConfig) -> dict:
 
 def print_report(results: dict) -> None:
     rows = [
-        ["3 standalone drivers (3 pretrains)", results["legacy_seconds"]],
+        ["3 per-task sessions (3 pretrains)", results["per_task_seconds"]],
         ["1 session (pretrain once, 3 tasks)", results["session_seconds"]],
     ]
     print(
@@ -170,15 +181,15 @@ def print_report(results: dict) -> None:
         )
     )
     metric_rows = [
-        [task, standalone, shared, abs(standalone - shared)]
-        for task, (standalone, shared) in results["metrics"].items()
+        [task, per_task, shared, abs(per_task - shared)]
+        for task, (per_task, shared) in results["metrics"].items()
     ]
     print(
         "\n"
         + format_table(
-            ["task", "standalone F1", "session F1", "|delta|"],
+            ["task", "per-task F1", "shared F1", "|delta|"],
             metric_rows,
-            title="Task metrics, standalone vs. shared session",
+            title="Task metrics, per-task sessions vs. shared session",
         )
     )
 
@@ -186,15 +197,15 @@ def print_report(results: dict) -> None:
 def _assert_targets(results: dict, smoke: bool) -> None:
     assert results["speedup"] >= 2.0, (
         f"session path only {results['speedup']:.2f}x faster than three "
-        "standalone drivers (target: >= 2x)"
+        "per-task sessions (target: >= 2x)"
     )
     tolerance = METRIC_TOLERANCE if smoke else 0.2
-    for task, (standalone, shared) in results["metrics"].items():
+    for task, (per_task, shared) in results["metrics"].items():
         # One-sided: sharing the pretrain must not degrade a task beyond
-        # small-scale noise (doing better than standalone is fine).
-        assert standalone - shared <= tolerance, (
-            f"{task}: session F1 {shared:.3f} degraded vs standalone "
-            f"{standalone:.3f} by more than {tolerance}"
+        # small-scale noise (doing better than per-task is fine).
+        assert per_task - shared <= tolerance, (
+            f"{task}: session F1 {shared:.3f} degraded vs per-task "
+            f"{per_task:.3f} by more than {tolerance}"
         )
 
 

@@ -35,11 +35,12 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.9",
-    # scipy backs text.tfidf's sparse matrices; networkx backs
-    # columns.clustering's connected components — both are imported
-    # unconditionally by the repro.api surface.
-    install_requires=["numpy>=1.22", "scipy>=1.8", "networkx>=2.6"],
-    extras_require={"test": ["pytest", "pytest-benchmark"]},
+    # scipy backs text.tfidf's sparse matrices and is imported
+    # unconditionally by the repro.api surface.  networkx backs only the
+    # connected-components reference that tests and the lake-scale
+    # benchmark compare the union-find clustering against.
+    install_requires=["numpy>=1.22", "scipy>=1.8"],
+    extras_require={"test": ["pytest", "pytest-benchmark", "networkx>=2.6"]},
     classifiers=[
         "Programming Language :: Python :: 3",
         "Topic :: Scientific/Engineering :: Artificial Intelligence",

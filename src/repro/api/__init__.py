@@ -17,9 +17,8 @@ fitted task as a thread-safe, shardable streaming service.
 >>> repairs = session.task("clean").fit(dirty_table).predict()
 >>> service = session.serve("match", num_shards=4)  # doctest: +SKIP
 
-The legacy drivers (``SudowoodoPipeline``, ``SudowoodoCleaner``,
-``ColumnMatchingPipeline``) remain as deprecated shims over this API;
-see ``docs/api.md`` for the migration table.
+The session tasks are the only drivers of the EM, cleaning and column
+workloads; ``docs/api.md`` maps the removed standalone drivers to them.
 """
 
 from ..core.config import (

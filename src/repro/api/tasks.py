@@ -7,23 +7,32 @@ through the session's shared :class:`~repro.serve.store.EmbeddingStore`
 (so corpora are encoded once per session) and fine-tune on *checkouts* of
 the shared encoder (so no task ever perturbs another's representations).
 
-Internally the tasks drive the battle-tested workload engines
-(``core.pipeline``, ``cleaning.cleaner``, ``columns.matching``) in
-*attached* mode — the engines skip their private pre-training and adopt
-the session's encoder and store — which is what turns three standalone
-drivers into one system.
+The tasks own their workload logic and call the engines (``Blocker``,
+``generate_pseudo_labels``, ``finetune_matcher``) directly; the
+dependency runs one way, api -> engines.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..cleaning.cleaner import SudowoodoCleaner, cleaning_corpus
+from ..cleaning.candidates import CandidateGenerator
+from ..cleaning.cleaner import cleaning_corpus, serialize_cell
 from ..columns.clustering import discover_types
-from ..columns.matching import ColumnMatchingPipeline
-from ..core.pipeline import SudowoodoPipeline
+from ..core.blocker import Blocker
+from ..core.matcher import (
+    PairwiseMatcher,
+    TrainingExample,
+    _apply_class_balance,
+    evaluate_f1,
+    finetune_matcher,
+)
+from ..core.pseudo_label import PseudoLabelSet, generate_pseudo_labels
+from ..serve import build_backend
+from ..utils import RngStream, Timer
 from .registry import TaskNotFittedError, register_task
 from .results import (
     BlockResult,
@@ -35,7 +44,6 @@ from .results import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.blocker import CandidateSet
-    from ..core.matcher import PairwiseMatcher
     from ..data.em_dataset import EMDataset
     from ..data.generators.cleaning import CleaningDataset
     from ..data.generators.columns import ColumnCorpus
@@ -71,15 +79,35 @@ class SessionTask:
         return []
 
 
+def _table_b_texts(dataset: Optional["EMDataset"]) -> List[str]:
+    """Table-B records — the searchable side of an EM task's live index."""
+    if dataset is None:
+        return []
+    return [dataset.serialize_b(j) for j in range(len(dataset.table_b))]
+
+
 @register_task("match")
 class MatchTask(SessionTask):
-    """Entity matching over an :class:`~repro.data.em_dataset.EMDataset`:
-    block with the shared embeddings, pseudo-label, fine-tune a matcher
-    on a checkout of the session encoder."""
+    """Entity matching over an :class:`~repro.data.em_dataset.EMDataset`
+    (Figure 2, steps ② to ④): block with the shared embeddings,
+    pseudo-label the candidates, fine-tune a matcher on a checkout of the
+    session encoder.
+
+    One task covers the semi-supervised (``label_budget`` > 0),
+    unsupervised (budget 0, the positive-ratio prior only) and fully
+    supervised settings, plus every ablation via
+    :meth:`SudowoodoConfig.ablated`.
+    """
 
     def __init__(self, session: "SudowoodoSession") -> None:
         super().__init__(session)
-        self._pipeline: Optional[SudowoodoPipeline] = None
+        self.dataset: Optional["EMDataset"] = None
+        self.timer = Timer()
+        self._blocker: Optional[Blocker] = None
+        self._pseudo: Optional[PseudoLabelSet] = None
+        self._matcher: Optional[PairwiseMatcher] = None
+        self._num_manual = 0
+        self._num_pseudo = 0
 
     def fit(
         self,
@@ -89,27 +117,119 @@ class MatchTask(SessionTask):
     ) -> "MatchTask":
         """Blocking + pseudo-labels + matcher fine-tuning (no pre-training
         — the session already paid for it)."""
-        self._pipeline = SudowoodoPipeline._attached(
-            self.session.config,
-            dataset,
-            self.session.checkout_encoder(),
-            self.session.store,
-        )
-        self._pipeline.train_matcher(label_budget, head=head)
+        config = self.session.config
+        encoder = self.session.checkout_encoder()
+        self.dataset = dataset
+        self.timer = Timer()
+        self._blocker = None
+        self._pseudo = None
+        train, valid = self.build_training_set(label_budget)
+        # The step budget is what the *manual* set alone would consume, so
+        # pseudo labels never buy extra compute (Section VI-B).
+        manual_size = self._num_manual or len(train)
+        steps_per_epoch = max(1, int(np.ceil(manual_size / config.finetune_batch_size)))
+        matcher = PairwiseMatcher(encoder, head=head)
+        with self.timer.section("finetune"):
+            finetune_matcher(
+                matcher,
+                train,
+                valid,
+                config,
+                fixed_steps=steps_per_epoch * config.finetune_epochs,
+            )
+        self._matcher = matcher
         self.fitted = True
         return self
 
     @property
-    def pipeline(self) -> SudowoodoPipeline:
-        """The attached workload engine (raises before :meth:`fit`)."""
-        self._require_fitted()
-        assert self._pipeline is not None
-        return self._pipeline
+    def blocker(self) -> Blocker:
+        """The blocker over the fitted dataset, embedding through the
+        shared store (built on first use)."""
+        if self.dataset is None:
+            raise TaskNotFittedError(self.name, "blocking")
+        if self._blocker is None:
+            with self.timer.section("blocking"):
+                self._blocker = Blocker(
+                    dataset=self.dataset,
+                    store=self.session.store,
+                    backend=build_backend(self.session.config),
+                )
+        return self._blocker
+
+    def block(self, k: Optional[int] = None) -> "CandidateSet":
+        """Candidate pairs at ``k`` (default: ``config.blocking_k``)."""
+        return self.blocker.candidates(k or self.session.config.blocking_k)
+
+    def build_training_set(
+        self, label_budget: int
+    ) -> Tuple[List[TrainingExample], List[TrainingExample]]:
+        """Manual + pseudo examples per the paper's protocol.
+
+        * budget > 0 (semi-supervised): sample ``budget`` labels from
+          train+valid; the same labels serve as the validation set ("we use
+          the same 500 labels for validation for further label saving").
+        * budget = 0 (unsupervised): pseudo labels only, with validation on
+          a slice of the pseudo labels themselves.
+        * pseudo labels enlarge the set to ``multiplier ×`` its manual size
+          without increasing the number of fine-tuning steps.
+        """
+        dataset = self.dataset
+        if dataset is None:
+            raise TaskNotFittedError(self.name, "build_training_set()")
+        config = self.session.config
+        rngs = RngStream(config.seed)
+        manual_pairs = (
+            dataset.sample_labeled(label_budget, rngs.get("labels"))
+            if label_budget > 0
+            else []
+        )
+        manual = [
+            TrainingExample(*dataset.serialize_pair(pair), pair.label, 1.0)
+            for pair in manual_pairs
+        ]
+
+        pseudo_examples: List[TrainingExample] = []
+        if config.use_pseudo_labeling:
+            base = len(manual) if manual else max(32, config.finetune_batch_size * 4)
+            candidate_set = self.block()
+            with self.timer.section("pseudo_label"):
+                self._pseudo = generate_pseudo_labels(
+                    self.blocker.vectors_a,
+                    self.blocker.vectors_b,
+                    candidate_set.pairs,
+                    num_labels=max(0, (config.multiplier - 1) * base),
+                    positive_ratio=max(
+                        0.01, config.positive_ratio * config.pseudo_positive_fraction
+                    ),
+                    exclude={(p.left, p.right) for p in manual_pairs},
+                )
+            for label, pairs in ((1, self._pseudo.positives), (0, self._pseudo.negatives)):
+                for left, right in pairs:
+                    pseudo_examples.append(
+                        TrainingExample(
+                            dataset.serialize_a(left),
+                            dataset.serialize_b(right),
+                            label,
+                            config.pseudo_label_weight,
+                        )
+                    )
+
+        train = manual + pseudo_examples
+        valid = manual if manual else pseudo_examples[: max(8, len(pseudo_examples) // 5)]
+        if not train:
+            raise RuntimeError(
+                "no training examples: enable pseudo labeling or provide labels"
+            )
+        self._num_manual = len(manual)
+        self._num_pseudo = len(pseudo_examples)
+        if config.class_balance:
+            _apply_class_balance(train)
+        return train, valid
 
     @property
     def matcher(self) -> Optional["PairwiseMatcher"]:
         """The fine-tuned pairwise matcher once fitted."""
-        return self._pipeline.matcher if self._pipeline else None
+        return self._matcher
 
     def predict(
         self,
@@ -118,39 +238,38 @@ class MatchTask(SessionTask):
     ) -> np.ndarray:
         """Match probabilities (``(N, 2)`` softmax rows) for text pairs."""
         self._require_fitted()
-        return self.pipeline.matcher.predict_proba(
+        return self._matcher.predict_proba(
             list(pairs),
             batch_size=batch_size or self.session.config.serve_batch_size,
         )
 
     def evaluate(self, split: str = "test") -> Dict[str, float]:
         """Precision / recall / F1 on a dataset split."""
-        return self.pipeline.evaluate(split)
-
-    def block(self, k: Optional[int] = None) -> "CandidateSet":
-        """Blocking candidates from the shared embeddings."""
-        return self.pipeline.block(k)
+        self._require_fitted()
+        pairs = getattr(self.dataset.pairs, split)
+        texts = [self.dataset.serialize_pair(p) for p in pairs]
+        labels = [p.label for p in pairs]
+        with self.timer.section("evaluate"):
+            return evaluate_f1(self._matcher, texts, labels)
 
     def corpus_texts(self) -> List[str]:
         """Table-B records — the searchable side of the live index."""
-        if self._pipeline is None or self._pipeline.dataset is None:
-            return []
-        dataset = self._pipeline.dataset
-        return [dataset.serialize_b(j) for j in range(len(dataset.table_b))]
+        return _table_b_texts(self.dataset)
 
     def report(self) -> MatchResult:
-        """Benchmark-ready result with test metrics and label accounting."""
-        pipeline = self.pipeline
+        """Benchmark-ready result with test metrics, label accounting and
+        the TPR/TNR of the pseudo labels (Table XI)."""
+        self._require_fitted()
         pseudo_quality: Dict[str, float] = {}
-        if self.session.config.use_pseudo_labeling and pipeline._pseudo is not None:
-            pseudo_quality = pipeline.pseudo_label_quality()
+        if self.session.config.use_pseudo_labeling and self._pseudo is not None:
+            pseudo_quality = self._pseudo.quality(self.dataset.matches)
         return MatchResult(
             task=self.name,
             metrics=self.evaluate("test"),
-            timings=pipeline.timer.summary(),
-            dataset=pipeline.dataset.name,
-            num_manual_labels=getattr(pipeline, "_num_manual", 0),
-            num_pseudo_labels=getattr(pipeline, "_num_pseudo", 0),
+            timings=self.timer.summary(),
+            dataset=self.dataset.name,
+            num_manual_labels=self._num_manual,
+            num_pseudo_labels=self._num_pseudo,
             pseudo_quality=pseudo_quality,
         )
 
@@ -162,59 +281,61 @@ class BlockTask(SessionTask):
 
     def __init__(self, session: "SudowoodoSession") -> None:
         super().__init__(session)
-        self._pipeline: Optional[SudowoodoPipeline] = None
-        self._candidates: Optional["CandidateSet"] = None
+        self.dataset: Optional["EMDataset"] = None
+        self.timer = Timer()
+        self._blocker: Optional[Blocker] = None
         self.k = 0
 
     def fit(self, dataset: "EMDataset", k: Optional[int] = None) -> "BlockTask":
-        """Embed both tables through the shared store and build the
-        candidate set at ``k`` (default ``config.blocking_k``)."""
-        # No matcher is trained, so the pristine shared encoder is safe
-        # to use directly — no checkout needed.
-        self._pipeline = SudowoodoPipeline._attached(
-            self.session.config,
-            dataset,
-            self.session.encoder,
-            self.session.store,
-        )
+        """Embed both tables through the shared store and index table B;
+        ``k`` (default ``config.blocking_k``) is the candidate budget
+        :meth:`predict` uses."""
+        self.dataset = dataset
+        self.timer = Timer()
+        with self.timer.section("blocking"):
+            self._blocker = Blocker(
+                dataset=dataset,
+                store=self.session.store,
+                backend=build_backend(self.session.config),
+            )
         self.k = k or self.session.config.blocking_k
-        self._candidates = self._pipeline.block(self.k)
         self.fitted = True
         return self
 
+    @property
+    def blocker(self) -> Blocker:
+        """The fitted blocker: recall/CSSR curves (Figure 7), the first k
+        beating a recall target (Table VII), streaming ``upsert_b`` /
+        ``delete_b``."""
+        self._require_fitted("blocker")
+        return self._blocker
+
     def predict(self, k: Optional[int] = None) -> "CandidateSet":
-        """The candidate set (recomputed when ``k`` differs from fit)."""
+        """The candidate set at ``k`` (default: the fitted k), queried
+        from the live index, so records streamed in or out through
+        :attr:`blocker` are reflected."""
         self._require_fitted()
-        assert self._pipeline is not None and self._candidates is not None
-        if k is None or k == self.k:
-            return self._candidates
-        return self._pipeline.block(k)
+        return self._blocker.candidates(k or self.k)
 
     def evaluate(self, **_: Any) -> Dict[str, float]:
         """Recall over ground-truth matches and CSSR at the fitted k."""
         candidates = self.predict()
-        assert self._pipeline is not None
         return {
-            "recall": candidates.recall(self._pipeline.dataset.matches),
+            "recall": candidates.recall(self.dataset.matches),
             "cssr": candidates.cssr(),
         }
 
     def corpus_texts(self) -> List[str]:
         """Table-B records — the searchable side of the live index."""
-        if self._pipeline is None or self._pipeline.dataset is None:
-            return []
-        dataset = self._pipeline.dataset
-        return [dataset.serialize_b(j) for j in range(len(dataset.table_b))]
+        return _table_b_texts(self.dataset)
 
     def report(self) -> BlockResult:
         """Candidate volume and the recall/CSSR point at the fitted k."""
-        self._require_fitted()
-        assert self._pipeline is not None
         return BlockResult(
             task=self.name,
             metrics=self.evaluate(),
-            timings=self._pipeline.timer.summary(),
-            dataset=self._pipeline.dataset.name,
+            timings=self.timer.summary(),
+            dataset=self.dataset.name,
             k=self.k,
             num_candidates=len(self.predict()),
         )
@@ -224,8 +345,12 @@ class BlockTask(SessionTask):
 class CleanTask(SessionTask):
     """Error correction over a
     :class:`~repro.data.generators.cleaning.CleaningDataset` (Section
-    V-A): fine-tune the matcher on labeled rows, repair with the
-    best-candidate decision rule."""
+    V-A): fine-tune the matcher on (cell, candidate) pairs from ~20
+    uniformly sampled labeled rows, then repair every cell with the
+    candidate the matcher scores highest.
+
+    Pseudo-labeling is not used here: the task is not similarity-based.
+    """
 
     def __init__(
         self,
@@ -235,75 +360,232 @@ class CleanTask(SessionTask):
         context_attributes: int = 4,
     ) -> None:
         super().__init__(session)
+        if serialization not in ("context_free", "contextual"):
+            raise ValueError("serialization must be context_free or contextual")
         self.serialization = serialization
         self.max_candidates = max_candidates_for_matching
         self.context_attributes = context_attributes
-        self._cleaner: Optional[SudowoodoCleaner] = None
+        self.dataset: Optional["CleaningDataset"] = None
+        self.generator: Optional[CandidateGenerator] = None
+        self.timer = Timer()
+        self._matcher: Optional[PairwiseMatcher] = None
+        self._recoverable_rate = 0.0
         self._repairs: Optional[Dict[Tuple[int, str], str]] = None
+
+    def _serialize_cell(self, row: int, attribute: str, value: str) -> str:
+        return serialize_cell(
+            self.dataset, row, attribute, value, self.serialization,
+            self.context_attributes,
+        )
 
     def fit(
         self,
         dataset: "CleaningDataset",
-        generator: Any = None,
+        generator: Optional[CandidateGenerator] = None,
         labeled_rows: int = 20,
     ) -> "CleanTask":
         """Fine-tune on ``labeled_rows`` uniformly sampled rows, using the
         session encoder (no per-task pre-training)."""
-        self._cleaner = SudowoodoCleaner._attached(
-            self.session.config,
-            self.session.checkout_encoder(),
-            self.session.store,
-            serialization=self.serialization,
-            max_candidates_for_matching=self.max_candidates,
-            context_attributes=self.context_attributes,
-        )
-        self._cleaner.fit(dataset, generator, labeled_rows=labeled_rows)
+        config = self.session.config
+        encoder = self.session.checkout_encoder()
+        self.dataset = dataset
+        self.generator = generator or CandidateGenerator().fit(dataset)
+        self.timer = Timer()
         self._repairs = None
+
+        rng = RngStream(config.seed).get("labeled-rows")
+        num_rows = len(dataset.dirty)
+        chosen = rng.choice(num_rows, size=min(labeled_rows, num_rows), replace=False)
+        labeled = sorted(int(r) for r in chosen)
+        recoverable = 0
+        examples: List[TrainingExample] = []
+        for row in labeled:
+            for attribute in dataset.schema:
+                value = dataset.dirty[row].get(attribute)
+                truth = dataset.ground_truth(row, attribute)
+                # Candidate *corrections* only — the original value is not a
+                # correction; "keep the cell" is the all-candidates-rejected
+                # outcome (M_pm = 0), as in the paper's decision rule.
+                candidates = [
+                    c
+                    for c in self.generator.candidates(row, attribute)
+                    if c != value
+                ]
+                cell_text = self._serialize_cell(row, attribute, value)
+                negatives = [c for c in candidates if c != truth]
+                rng.shuffle(negatives)
+                if truth != value and truth in candidates:
+                    recoverable += 1
+                    examples.append(
+                        TrainingExample(
+                            cell_text, self._serialize_cell(row, attribute, truth), 1, 1.0
+                        )
+                    )
+                for candidate in negatives[:2]:
+                    examples.append(
+                        TrainingExample(
+                            cell_text, self._serialize_cell(row, attribute, candidate), 0, 1.0
+                        )
+                    )
+        if not any(e.label == 1 for e in examples):
+            raise RuntimeError(
+                "labeled rows contain no recoverable errors; increase "
+                "labeled_rows or the dataset scale"
+            )
+        if config.class_balance:
+            _apply_class_balance(examples)
+
+        with self.timer.section("finetune"):
+            self._matcher = PairwiseMatcher(encoder)
+            finetune_matcher(self._matcher, examples, examples, config)
+
+        # The labeled rows give an unbiased estimate of the *recoverable*
+        # error rate; the apply phase repairs the same fraction of cells,
+        # taking the highest-scoring candidates first.  (This mirrors the
+        # paper's use of dataset priors — cf. the positive ratio rho in
+        # pseudo-labeling — and replaces a poorly calibrated 0.5 cut.)
+        labeled_cells = len(labeled) * len(dataset.schema)
+        self._recoverable_rate = recoverable / max(1, labeled_cells)
         self.fitted = True
         return self
 
     @property
-    def cleaner(self) -> SudowoodoCleaner:
-        """The attached cleaning engine (raises before :meth:`fit`)."""
-        self._require_fitted()
-        assert self._cleaner is not None
-        return self._cleaner
-
-    @property
     def matcher(self) -> Optional["PairwiseMatcher"]:
         """The fine-tuned (cell, candidate) matcher once fitted."""
-        return self._cleaner.matcher if self._cleaner else None
+        return self._matcher
 
     def predict(self) -> Dict[Tuple[int, str], str]:
         """Proposed repairs: ``(row, attribute) -> corrected value``.
 
-        Full-table matcher inference runs once per fit; later calls
-        (and :meth:`evaluate` / :meth:`report`) reuse the cached repairs.
+        Only actual repairs are returned (cells whose chosen candidate
+        differs from the current value).  Full-table matcher inference
+        runs once per fit; later calls (and :meth:`evaluate` /
+        :meth:`report`) reuse the cached repairs.
         """
+        self._require_fitted()
         if self._repairs is None:
-            self._repairs = self.cleaner.correct()
+            self._repairs = self._correct()
         return self._repairs
+
+    def _correct(self) -> Dict[Tuple[int, str], str]:
+        dataset = self.dataset
+        # Gather (cell, candidate) queries, embedding-pruned to the top few
+        # candidates per cell (the optional "blocking" step of Section V-A).
+        queries: List[Tuple[str, str]] = []
+        spans: List[Tuple[int, str, List[str]]] = []
+        for row in range(len(dataset.dirty)):
+            for attribute in dataset.schema:
+                value = dataset.dirty[row].get(attribute)
+                candidates = [
+                    c
+                    for c in self.generator.candidates(row, attribute)
+                    if c != value
+                ]
+                if not candidates:
+                    continue
+                candidates = self._prune(row, attribute, value, candidates)
+                cell_text = self._serialize_cell(row, attribute, value)
+                for candidate in candidates:
+                    queries.append(
+                        (cell_text, self._serialize_cell(row, attribute, candidate))
+                    )
+                spans.append((row, attribute, candidates))
+
+        with self.timer.section("correct"):
+            probabilities = (
+                self._matcher.predict_proba(queries)[:, 1] if queries else np.array([])
+            )
+        best_scores: List[float] = []
+        best_candidates: List[str] = []
+        cursor = 0
+        for row, attribute, candidates in spans:
+            scores = probabilities[cursor : cursor + len(candidates)]
+            cursor += len(candidates)
+            best = int(np.argmax(scores))
+            best_scores.append(float(scores[best]))
+            best_candidates.append(candidates[best])
+
+        # Repair budget: the recoverable-error rate estimated from the
+        # labeled rows, applied to the whole table.
+        total_cells = len(dataset.dirty) * len(dataset.schema)
+        budget = min(int(round(self._recoverable_rate * total_cells)), len(spans))
+        repairs: Dict[Tuple[int, str], str] = {}
+        if budget > 0:
+            order = np.argsort(-np.array(best_scores))[:budget]
+            for index in order:
+                row, attribute, _ = spans[int(index)]
+                # Still require the matcher to prefer "match" outright.
+                if best_scores[int(index)] < 0.5:
+                    continue
+                repairs[(row, attribute)] = best_candidates[int(index)]
+        return repairs
+
+    def _prune(
+        self, row: int, attribute: str, value: str, candidates: List[str]
+    ) -> List[str]:
+        """The ``max_candidates`` candidates closest to the cell in the
+        shared (pre-trained) embedding space, in their original order.
+        Candidates repeat heavily across cells, so the store's cache
+        serves most of them."""
+        if len(candidates) <= self.max_candidates:
+            return candidates
+        store = self.session.store
+        cell_vector = store.embed_batch(
+            [self._serialize_cell(row, attribute, value)], normalize=True
+        )
+        candidate_vectors = store.embed_batch(
+            [self._serialize_cell(row, attribute, c) for c in candidates],
+            normalize=True,
+        )
+        scores = candidate_vectors @ cell_vector[0]
+        keep = np.argsort(-scores)[: self.max_candidates]
+        return [candidates[int(i)] for i in sorted(keep)]
+
+    def _score(
+        self, exclude_rows: Optional[Sequence[int]] = None
+    ) -> Tuple[Dict[str, float], int]:
+        """Correction P/R/F1 against ground truth (Baran's protocol):
+        precision over repaired cells, recall over erroneous cells.
+        Returns the metrics and the number of counted repairs."""
+        dataset = self.dataset
+        excluded = set(exclude_rows or ())
+        correct_repairs = 0
+        counted_repairs = 0
+        for (row, attribute), candidate in self.predict().items():
+            if row in excluded:
+                continue
+            counted_repairs += 1
+            if candidate == dataset.ground_truth(row, attribute) and dataset.is_error(
+                row, attribute
+            ):
+                correct_repairs += 1
+        errors = [
+            (row, attribute)
+            for row, attribute in dataset.error_cells()
+            if row not in excluded
+        ]
+        precision = correct_repairs / counted_repairs if counted_repairs else 0.0
+        recall = correct_repairs / len(errors) if errors else 0.0
+        f1 = (
+            2 * precision * recall / (precision + recall)
+            if precision + recall
+            else 0.0
+        )
+        return {"precision": precision, "recall": recall, "f1": f1}, counted_repairs
 
     def evaluate(
         self, exclude_rows: Optional[Sequence[int]] = None
     ) -> Dict[str, float]:
         """Correction precision / recall / F1 against ground truth."""
-        result = self.cleaner.evaluate(
-            exclude_rows=exclude_rows, repairs=self.predict()
-        )
-        return {
-            "precision": result.precision,
-            "recall": result.recall,
-            "f1": result.f1,
-        }
+        return self._score(exclude_rows)[0]
 
     def corpus_texts(self) -> List[str]:
         """Every serialized cell of the dirty table (the cleaning
         embedding corpus the live index serves)."""
-        if self._cleaner is None or getattr(self._cleaner, "dataset", None) is None:
+        if self.dataset is None:
             return []
         return cleaning_corpus(
-            self._cleaner.dataset,
+            self.dataset,
             serialization=self.serialization,
             context_attributes=self.context_attributes,
             include_candidates=False,
@@ -311,29 +593,27 @@ class CleanTask(SessionTask):
 
     def report(self) -> CleanResult:
         """Correction metrics plus the applied repairs."""
-        cleaner = self.cleaner
-        repairs = self.predict()
-        result = cleaner.evaluate(repairs=repairs)
+        metrics, repaired = self._score()
         return CleanResult(
             task=self.name,
-            metrics={
-                "precision": result.precision,
-                "recall": result.recall,
-                "f1": result.f1,
-            },
-            timings=cleaner.timer.summary(),
-            dataset=result.dataset,
-            repaired=result.repaired,
-            repairs=repairs,
+            metrics=metrics,
+            timings=self.timer.summary(),
+            dataset=self.dataset.name,
+            repaired=repaired,
+            repairs=self.predict(),
         )
 
 
 @register_task("column_match")
 class ColumnMatchTask(SessionTask):
     """Column matching over a
-    :class:`~repro.data.generators.columns.ColumnCorpus` (Section V-B):
-    kNN candidates among columns, labeled-pair fine-tuning, same-type
-    edge prediction."""
+    :class:`~repro.data.generators.columns.ColumnCorpus` (Section V-B).
+
+    Columns are serialized bare-bone as ``[VAL] v1 [VAL] v2 ...`` and the
+    workload mirrors EM: kNN blocking among the shared column embeddings,
+    labeling a sample of candidates (match = same ground-truth semantic
+    type), fine-tuning the pair matcher, and same-type edge prediction.
+    """
 
     def __init__(
         self,
@@ -342,8 +622,13 @@ class ColumnMatchTask(SessionTask):
     ) -> None:
         super().__init__(session)
         self.max_values = max_values_per_column
-        self._pipeline: Optional[ColumnMatchingPipeline] = None
-        self._match_report = None
+        self.corpus: Optional["ColumnCorpus"] = None
+        self.texts: List[str] = []
+        self.timer = Timer()
+        self._backend = None
+        self._vectors: Optional[np.ndarray] = None
+        self._matcher: Optional[PairwiseMatcher] = None
+        self._result: Optional[ColumnMatchResult] = None
 
     def fit(
         self,
@@ -353,30 +638,108 @@ class ColumnMatchTask(SessionTask):
     ) -> "ColumnMatchTask":
         """Embed columns through the shared store, label candidates, and
         fine-tune the pair matcher on an encoder checkout."""
-        self._pipeline = ColumnMatchingPipeline._attached(
-            self.session.config,
-            self.session.checkout_encoder(),
-            self.session.store,
-            max_values_per_column=self.max_values,
-        )
-        self._pipeline.pretrain_on(corpus)  # attached: embeds, no pretrain
-        self._match_report = self._pipeline.train_and_evaluate(
-            k=k, num_labels=num_labels
+        config = self.session.config
+        encoder = self.session.checkout_encoder()
+        self.corpus = corpus
+        self.texts = corpus.serialized(max_values=self.max_values)
+        self.timer = Timer()
+        with self.timer.section("embed"):
+            raw = self.session.store.embed_batch(self.texts)
+            raw = raw - raw.mean(axis=0, keepdims=True)
+            norms = np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), 1e-12)
+            self._vectors = raw / norms
+        self._backend = build_backend(config).build(self._vectors)
+
+        candidates = self.candidate_pairs(k)
+        splits = self.build_labeled_pairs(candidates, num_labels)
+        train = self._examples(splits["train"])
+        if config.class_balance:
+            _apply_class_balance(train)
+        valid = self._examples(splits["valid"])
+        test = self._examples(splits["test"])
+        self._matcher = PairwiseMatcher(encoder)
+        with self.timer.section("finetune"):
+            finetune_matcher(self._matcher, train, valid, config)
+        with self.timer.section("evaluate"):
+            valid_metrics, test_metrics = [
+                evaluate_f1(
+                    self._matcher,
+                    [(e.left, e.right) for e in examples],
+                    [e.label for e in examples],
+                )
+                for examples in (valid, test)
+            ]
+        positives = sum(label for _, _, label in splits["train"])
+        self._result = ColumnMatchResult(
+            task=self.name,
+            metrics=test_metrics,
+            num_candidates=len(candidates),
+            positive_rate=positives / max(1, len(splits["train"])),
+            valid_metrics=valid_metrics,
         )
         self.fitted = True
         return self
 
-    @property
-    def pipeline(self) -> ColumnMatchingPipeline:
-        """The attached column-matching engine (raises before fit)."""
-        self._require_fitted()
-        assert self._pipeline is not None
-        return self._pipeline
+    def candidate_pairs(self, k: int = 20) -> List[Tuple[int, int]]:
+        """kNN blocking among columns (self-match excluded, deduplicated).
+
+        Candidate generation goes through the config-selected ANN backend
+        (exact by default, LSH via ``ann_backend="lsh"``).
+        """
+        if self._backend is None:
+            raise TaskNotFittedError(self.name, "candidate_pairs()")
+        with self.timer.section("blocking"):
+            indices, _ = self._backend.query(self._vectors, k + 1)
+            pairs: Set[Tuple[int, int]] = set()
+            for i in range(indices.shape[0]):
+                for j in indices[i]:
+                    j = int(j)
+                    if j == i or j < 0:
+                        continue
+                    pairs.add((min(i, j), max(i, j)))
+        return sorted(pairs)
+
+    def build_labeled_pairs(
+        self, candidates: Sequence[Tuple[int, int]], num_labels: int
+    ) -> Dict[str, List[Tuple[int, int, int]]]:
+        """Label a uniform sample of candidates with ground truth and split
+        2:1:1 (the paper's protocol for the VizNet study)."""
+        if self.corpus is None:
+            raise TaskNotFittedError(self.name, "build_labeled_pairs()")
+        rng = RngStream(self.session.config.seed).get("column-labels")
+        chosen = rng.choice(
+            len(candidates), size=min(num_labels, len(candidates)), replace=False
+        )
+        labeled = [
+            (
+                candidates[int(i)][0],
+                candidates[int(i)][1],
+                int(self.corpus.same_type(*candidates[int(i)])),
+            )
+            for i in chosen
+        ]
+        rng.shuffle(labeled)
+        n = len(labeled)
+        train_end = n // 2
+        valid_end = train_end + n // 4
+        return {
+            "train": labeled[:train_end],
+            "valid": labeled[train_end:valid_end],
+            "test": labeled[valid_end:],
+        }
+
+    def _examples(
+        self, labeled: Sequence[Tuple[int, int, int]]
+    ) -> List[TrainingExample]:
+        return [
+            TrainingExample(self.texts[i], self.texts[j], label, 1.0)
+            for i, j, label in labeled
+        ]
 
     @property
     def matcher(self) -> Optional["PairwiseMatcher"]:
         """The fine-tuned column-pair matcher once fitted."""
-        return self._pipeline.matcher if self._pipeline else None
+        return self._matcher
 
     def predict(
         self,
@@ -385,33 +748,38 @@ class ColumnMatchTask(SessionTask):
         k: int = 20,
     ) -> List[Tuple[int, int]]:
         """Same-type column edges among ``candidates`` (default: the kNN
-        candidate pairs at ``k``)."""
-        pipeline = self.pipeline
+        candidate pairs at ``k``).
+
+        ``threshold`` trades cluster granularity for purity: connected
+        components amplify every false edge, so type discovery uses a
+        high-precision cut (the paper notes cluster granularity is
+        controlled by adjusting the clustering step).  Use 0.5 for the raw
+        matcher decision.
+        """
+        self._require_fitted()
         if candidates is None:
-            candidates = pipeline.candidate_pairs(k=k)
-        return pipeline.predict_edges(candidates, threshold=threshold)
+            candidates = self.candidate_pairs(k=k)
+        pairs = [(self.texts[i], self.texts[j]) for i, j in candidates]
+        probabilities = self._matcher.predict_proba(pairs, batch_size=64)
+        return [
+            c
+            for c, p in zip(candidates, probabilities[:, 1])
+            if p >= threshold
+        ]
 
     def evaluate(self, **_: Any) -> Dict[str, float]:
         """Pair-matching test metrics from the labeled split."""
         self._require_fitted()
-        return dict(self._match_report.test_metrics)
+        return dict(self._result.metrics)
 
     def corpus_texts(self) -> List[str]:
         """The serialized columns the live index serves."""
-        return list(self._pipeline.texts) if self._pipeline is not None else []
+        return list(self.texts)
 
     def report(self) -> ColumnMatchResult:
         """Pair metrics, candidate volume, and the labeled positive rate."""
         self._require_fitted()
-        report = self._match_report
-        return ColumnMatchResult(
-            task=self.name,
-            metrics=dict(report.test_metrics),
-            timings=self.pipeline.timer.summary(),
-            num_candidates=report.num_candidates,
-            positive_rate=report.positive_rate,
-            valid_metrics=dict(report.valid_metrics),
-        )
+        return replace(self._result, timings=self.timer.summary())
 
 
 @register_task("column_cluster")
@@ -475,7 +843,7 @@ class ColumnClusterTask(SessionTask):
         return ColumnClusterResult(
             task=self.name,
             metrics=self.evaluate(),
-            timings=self._match.pipeline.timer.summary(),
+            timings=self._match.timer.summary(),
             num_clusters=self._clusters.num_clusters,
             num_edges=len(self._edges),
             clusters=self._clusters.clusters,

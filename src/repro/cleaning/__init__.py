@@ -1,7 +1,9 @@
-"""Data cleaning: candidate tools, Sudowoodo EC, Raha/Baran baselines."""
+"""Data cleaning: candidate tools, EC cell serialization, Raha/Baran
+baselines (the Sudowoodo corrector is the ``clean`` session task)."""
 
 from .baselines import (
     BaranCorrector,
+    CleaningReport,
     RahaDetector,
     run_perfect_ed_baran,
     run_raha_baran,
@@ -14,13 +16,7 @@ from .candidates import (
     TypoTool,
     ValueFrequencyTool,
 )
-from .cleaner import (
-    CleaningReport,
-    SudowoodoCleaner,
-    cleaning_config,
-    cleaning_corpus,
-    serialize_cell,
-)
+from .cleaner import cleaning_corpus, serialize_cell
 
 __all__ = [
     "BaranCorrector",
@@ -30,10 +26,8 @@ __all__ = [
     "DependencyTool",
     "FormatTool",
     "RahaDetector",
-    "SudowoodoCleaner",
     "TypoTool",
     "ValueFrequencyTool",
-    "cleaning_config",
     "cleaning_corpus",
     "run_perfect_ed_baran",
     "run_raha_baran",

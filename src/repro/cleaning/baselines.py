@@ -27,7 +27,17 @@ from ..ml import LogisticRegression
 from ..text import levenshtein
 from ..utils import RngStream
 from .candidates import CandidateGenerator
-from .cleaner import CleaningReport
+
+
+@dataclass
+class CleaningReport:
+    """Correction precision / recall / F1 of a baseline run."""
+
+    dataset: str
+    precision: float
+    recall: float
+    f1: float
+    repaired: int
 
 
 def _format_signature(value: str) -> str:

@@ -1,4 +1,6 @@
-"""Column matching and semantic type discovery (Section V-B)."""
+"""Semantic type discovery (Section V-B): clustering of matched columns
+and the Sherlock/Sato baselines (column matching itself is the
+``column_match`` session task)."""
 
 from .baselines import (
     CLASSIFIER_FACTORIES,
@@ -14,18 +16,14 @@ from .clustering import (
     discover_types,
     find_subtype_clusters,
 )
-from .matching import ColumnMatchingPipeline, ColumnMatchReport, column_config
 
 __all__ = [
     "CLASSIFIER_FACTORIES",
     "ClusterReport",
-    "ColumnMatchReport",
-    "ColumnMatchingPipeline",
     "SatoFeaturizer",
     "SherlockFeaturizer",
     "cluster_columns",
     "cluster_purity",
-    "column_config",
     "discover_types",
     "evaluate_feature_baseline",
     "find_subtype_clusters",

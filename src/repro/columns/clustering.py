@@ -14,9 +14,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-import networkx as nx
-import numpy as np
-
 from ..data.generators.columns import ColumnCorpus
 
 
@@ -32,11 +29,15 @@ def cluster_columns(
     corpus: ColumnCorpus, edges: Sequence[Tuple[int, int]]
 ) -> List[List[int]]:
     """Connected components over predicted same-type edges; singletons are
-    kept (a column with no matches is its own type)."""
-    graph = nx.Graph()
-    graph.add_nodes_from(range(len(corpus)))
-    graph.add_edges_from(edges)
-    return [sorted(component) for component in nx.connected_components(graph)]
+    kept (a column with no matches is its own type).  Components are
+    ordered by smallest member, each listing its members ascending."""
+    # Deferred import: the discovery package imports the session tasks,
+    # which import this module.
+    from ..discovery.dedupe import DisjointSet
+
+    components = DisjointSet(len(corpus))
+    components.add_edges(edges)
+    return list(components.iter_clusters())
 
 
 def cluster_purity(corpus: ColumnCorpus, clusters: Sequence[Sequence[int]]) -> float:

@@ -1,5 +1,5 @@
 """Sudowoodo core: config, encoder, losses, pre-training, blocking,
-matching, pseudo-labeling, and the end-to-end pipeline."""
+matching, and pseudo-labeling."""
 
 from .blocker import Blocker, CandidateSet
 from .config import SudowoodoConfig
@@ -15,7 +15,6 @@ from .matcher import (
 )
 from .negative_sampling import ClusterBatcher
 from .persistence import load_encoder, save_encoder
-from .pipeline import PipelineReport, SudowoodoPipeline
 from .pretrain import OperatorScheduler, PretrainResult, prepare_corpus, pretrain
 from .pseudo_label import (
     PseudoLabelSet,
@@ -31,12 +30,10 @@ __all__ = [
     "ClusterBatcher",
     "FinetuneResult",
     "PairwiseMatcher",
-    "PipelineReport",
     "PretrainResult",
     "PseudoLabelSet",
     "SudowoodoConfig",
     "SudowoodoEncoder",
-    "SudowoodoPipeline",
     "TrainingExample",
     "barlow_twins_loss",
     "build_tokenizer",

@@ -126,9 +126,9 @@ class SudowoodoConfig:
     # score error; pin "float64" for byte-identical exactness.
     store_dtype: str = "float32"
     # Sharded serving (serve.sharding): with num_shards > 1 the ANN index
-    # is hash-partitioned across per-shard backends queried in parallel,
-    # and SudowoodoPipeline.match_service() returns the thread-safe
-    # ShardedMatchService.  The coalescer collects concurrent search()
+    # is hash-partitioned across per-shard backends queried in parallel
+    # behind the thread-safe ShardedMatchService that session.serve()
+    # returns.  The coalescer collects concurrent search()
     # callers for up to coalesce_window_ms into one batched encoder /
     # backend call, capped at max_coalesce_batch queries per batch
     # (window 0 = no added latency, only simultaneous callers coalesce).
@@ -327,8 +327,7 @@ class SudowoodoConfig:
         ``"block"``, ``"clean"``, ``"column_match"``,
         ``"column_cluster"``, and the discovery tier
         ``"join_discovery"`` / ``"dedupe"`` / ``"streaming_er"``);
-        ``overrides`` are applied on top of the preset.  This replaces the old per-module ``cleaning_config()`` /
-        ``column_config()`` helper copies.
+        ``overrides`` are applied on top of the preset.
         """
         if task not in TASK_CONFIG_DEFAULTS:
             raise ValueError(

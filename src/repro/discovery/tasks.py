@@ -28,8 +28,7 @@ from ..api.results import (
     JoinDiscoveryResult,
     StreamingERResult,
 )
-from ..api.tasks import SessionTask
-from ..core.pipeline import SudowoodoPipeline
+from ..api.tasks import MatchTask, SessionTask
 from ..data.generators.discovery import DirtyDuplicates, JoinableTables
 from ..data.records import Record, Table, serialize_record
 from .dedupe import (
@@ -320,7 +319,7 @@ class DedupeTask(SessionTask):
         self.timestamp_attribute = timestamp_attribute
         self._table: Optional[Table] = None
         self._truth: Optional[set] = None
-        self._pipeline: Optional[SudowoodoPipeline] = None
+        self._match = MatchTask(session)
         self._clusters: List[List[int]] = []
         self._canonical: List[Record] = []
 
@@ -357,15 +356,9 @@ class DedupeTask(SessionTask):
         dataset = self_match_dataset(
             self._table, truth_pairs=self._truth, seed=seed
         )
-        self._pipeline = SudowoodoPipeline._attached(
-            self.session.config,
-            dataset,
-            self.session.checkout_encoder(),
-            self.session.store,
-        )
-        self._pipeline.train_matcher(label_budget, head=head)
+        self._match.fit(dataset, label_budget=label_budget, head=head)
 
-        candidates = self._pipeline.block(k)
+        candidates = self._match.block(k)
         # Self-join blocking proposes (i, i) and both orientations; keep
         # one canonical copy of each genuine pair.  Match edges stream
         # straight from bounded matcher batches into the union-find, and
@@ -376,7 +369,7 @@ class DedupeTask(SessionTask):
         edges = iter_match_edges(
             pairs,
             lambda a, b: (dataset.serialize_a(a), dataset.serialize_b(b)),
-            lambda texts: self._pipeline.matcher.predict_proba(
+            lambda texts: self._match.matcher.predict_proba(
                 texts, batch_size=batch_size
             ),
             threshold=threshold,
@@ -400,7 +393,7 @@ class DedupeTask(SessionTask):
     @property
     def matcher(self) -> Optional["PairwiseMatcher"]:
         """The fine-tuned self-match matcher once fitted."""
-        return self._pipeline.matcher if self._pipeline else None
+        return self._match.matcher
 
     def predict(self) -> List[List[int]]:
         """The duplicate clusters (sorted record-index lists; singletons
@@ -446,11 +439,11 @@ class DedupeTask(SessionTask):
     def report(self) -> DedupeResult:
         """Clusters, canonical records, and the consolidation metrics."""
         self._require_fitted("report()")
-        assert self._pipeline is not None and self._table is not None
+        assert self._table is not None
         return DedupeResult(
             task=self.name,
             metrics=self.evaluate(),
-            timings=self._pipeline.timer.summary(),
+            timings=self._match.timer.summary(),
             dataset=self._table.name,
             policy=self.policy,
             num_records=len(self._table),

@@ -53,8 +53,8 @@ class MatchService:
         ``embed_cache_capacity``); defaults to the encoder's own config.
     store:
         Pass an existing :class:`EmbeddingStore` to share its warm cache
-        (e.g. the one a :class:`~repro.core.pipeline.SudowoodoPipeline`
-        already filled during blocking).
+        (e.g. the session store a ``block`` or ``match`` task already
+        filled during blocking).
     backend:
         Override the config-selected ANN backend instance.
     matcher:

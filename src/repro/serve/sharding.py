@@ -28,8 +28,8 @@ the two scale levers on top of the PR 1/2 serving stack:
 ``SudowoodoConfig(num_shards=4)`` routes the whole stack here:
 ``build_backend`` wraps the configured backend in a
 :class:`ShardedBackend` (so ``Blocker`` and ``MatchService`` shard
-transparently) and ``SudowoodoPipeline.match_service()`` returns a
-:class:`ShardedMatchService`.
+transparently) and ``SudowoodoSession.serve()`` returns a
+:class:`ShardedMatchService` with that many shards.
 
 >>> config = SudowoodoConfig(num_shards=4, ann_backend="exact")
 >>> service = ShardedMatchService(encoder, config=config)
@@ -599,8 +599,8 @@ class ShardedMatchService(MatchService):
         self.num_shards = self.config.num_shards
         self._mutation_lock = threading.RLock()
         # The store's own reentrant mutex, not a private one: services
-        # sharing one store (e.g. two match_service() calls on the same
-        # pipeline) must serialize on the same lock, and holding it
+        # sharing one store (e.g. two session.serve() calls on the same
+        # session) must serialize on the same lock, and holding it
         # across embed + metadata keeps both consistent.
         self._store_lock = self.store.lock
         self._coalescer = QueryCoalescer(

@@ -1,7 +1,5 @@
 """Tests for SudowoodoSession: shared-encoder reuse, the task registry,
-serving exports, and the deprecated driver shims."""
-
-import warnings
+serving exports, and the pinned metrics of the seeded match fit."""
 
 import numpy as np
 import pytest
@@ -15,9 +13,7 @@ from repro.api import (
     create_task,
     register_task,
 )
-from repro.cleaning import SudowoodoCleaner, cleaning_corpus
-from repro.columns import ColumnMatchingPipeline
-from repro.core import SudowoodoPipeline
+from repro.cleaning import cleaning_corpus
 from repro.data.generators import (
     generate_column_corpus,
     load_cleaning_dataset,
@@ -230,39 +226,16 @@ class TestCleanTaskReuse:
             assert candidate != beers.dirty[row].get(attribute)
 
 
-class TestDeprecatedShims:
-    def test_pipeline_warns_but_works(self, em_dataset):
-        with pytest.warns(DeprecationWarning, match="SudowoodoSession"):
-            pipeline = SudowoodoPipeline(tiny_config())
-        report = pipeline.run(em_dataset, label_budget=20)
-        assert 0.0 <= report.f1 <= 1.0
-
-    def test_cleaner_warns(self):
-        with pytest.warns(DeprecationWarning, match="SudowoodoSession"):
-            SudowoodoCleaner()
-
-    def test_column_pipeline_warns(self):
-        with pytest.warns(DeprecationWarning, match="SudowoodoSession"):
-            ColumnMatchingPipeline()
-
-    def test_session_path_emits_no_deprecation(self, em_dataset):
-        session = SudowoodoSession(tiny_config(seed=3))
-        session.pretrain(em_dataset.all_items())
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            session.task("match", fresh=True).fit(em_dataset, label_budget=20)
-
-    def test_legacy_pipeline_matches_session_task_f1(self, em_dataset):
-        """The shim and the session path train on identical inputs and
-        reach the same test metrics (shared seeds, shared pretrain)."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = SudowoodoPipeline(tiny_config(seed=4))
-            legacy.pretrain_on(em_dataset)
-            legacy.train_matcher(label_budget=20)
-            legacy_metrics = legacy.evaluate("test")
-
+class TestPinnedMetrics:
+    def test_match_task_metrics_pinned(self, em_dataset):
+        """Seeded match fit on the tiny fixture.  F1/precision/recall and
+        the pseudo-label TPR/TNR are ratios of counts, so any change to the
+        blocking, pseudo-labeling or fine-tuning path shows up exactly."""
         session = SudowoodoSession(tiny_config(seed=4))
         session.pretrain(em_dataset.all_items())
         task = session.task("match").fit(em_dataset, label_budget=20)
-        assert task.evaluate("test") == pytest.approx(legacy_metrics)
+        assert task.evaluate("test") == {"precision": 0.0, "recall": 0.0, "f1": 0.0}
+        report = task.report()
+        assert report.num_manual_labels == 20
+        assert report.num_pseudo_labels == 20
+        assert report.pseudo_quality == {"tpr": 1.0, "tnr": 0.9473684210526315}

@@ -1,20 +1,22 @@
-"""Tests for candidate generation, the Sudowoodo cleaner, and baselines."""
+"""Tests for candidate generation, the ``clean`` session task, and
+baselines."""
 
 import numpy as np
 import pytest
 
+from repro.api import SudowoodoConfig, SudowoodoSession, TaskNotFittedError
 from repro.cleaning import (
     BaranCorrector,
     CandidateGenerator,
     FormatTool,
     RahaDetector,
-    SudowoodoCleaner,
     TypoTool,
     ValueFrequencyTool,
-    cleaning_config,
+    cleaning_corpus,
     run_perfect_ed_baran,
     run_raha_baran,
 )
+from repro.cleaning.cleaner import context_schema
 from repro.data.generators import load_cleaning_dataset
 
 
@@ -142,49 +144,65 @@ class TestBaran:
             assert candidate != beers.dirty[cell[0]].get(cell[1])
 
 
-class TestSudowoodoCleaner:
-    def tiny_cleaner(self):
-        config = cleaning_config(
-            dim=16,
-            num_layers=1,
-            num_heads=2,
-            ffn_dim=32,
-            max_seq_len=24,
-            pair_max_seq_len=48,
-            vocab_size=600,
-            pretrain_epochs=1,
-            pretrain_batch_size=8,
-            finetune_epochs=2,
-            finetune_batch_size=8,
-            num_clusters=3,
-            corpus_cap=64,
-            mlm_warm_start_epochs=0,
-            seed=0,
-        )
-        return SudowoodoCleaner(config)
+def tiny_clean_session(beers, generator):
+    config = SudowoodoConfig.for_task(
+        "clean",
+        dim=16,
+        num_layers=1,
+        num_heads=2,
+        ffn_dim=32,
+        max_seq_len=24,
+        pair_max_seq_len=48,
+        vocab_size=600,
+        pretrain_epochs=1,
+        pretrain_batch_size=8,
+        finetune_epochs=2,
+        finetune_batch_size=8,
+        num_clusters=3,
+        corpus_cap=64,
+        mlm_warm_start_epochs=0,
+        seed=0,
+    )
+    session = SudowoodoSession(config)
+    session.pretrain(cleaning_corpus(beers, generator))
+    return session
 
-    def test_fit_and_evaluate(self, beers, generator):
-        cleaner = self.tiny_cleaner().fit(beers, generator, labeled_rows=12)
-        report = cleaner.evaluate()
-        assert 0.0 <= report.f1 <= 1.0
+
+@pytest.fixture(scope="module")
+def clean_task(beers, generator):
+    return tiny_clean_session(beers, generator).task("clean").fit(
+        beers, generator, labeled_rows=12
+    )
+
+
+class TestCleanTask:
+    def test_fit_and_evaluate(self, clean_task):
+        report = clean_task.report()
         assert report.dataset == "beers"
+        # Pinned from the seeded run; F1/precision/recall are ratios of
+        # counts, so any change to the fit or repair path shows up exactly.
+        assert clean_task.evaluate() == {
+            "precision": 0.40217391304347827,
+            "recall": 0.29133858267716534,
+            "f1": 0.33789954337899547,
+        }
+        assert report.metrics == clean_task.evaluate()
+        assert report.repaired == len(report.repairs) == 92
 
-    def test_correct_returns_actual_changes(self, beers, generator):
-        cleaner = self.tiny_cleaner().fit(beers, generator, labeled_rows=12)
-        repairs = cleaner.correct()
-        for (row, attribute), candidate in repairs.items():
+    def test_correct_returns_actual_changes(self, beers, clean_task):
+        for (row, attribute), candidate in clean_task.predict().items():
             assert candidate != beers.dirty[row].get(attribute)
 
-    def test_requires_fit_before_correct(self):
-        with pytest.raises(RuntimeError):
-            self.tiny_cleaner().correct()
+    def test_requires_fit_before_correct(self, beers, generator):
+        task = tiny_clean_session(beers, generator).task("clean")
+        with pytest.raises(TaskNotFittedError):
+            task.predict()
 
     def test_rejects_bad_serialization(self):
-        with pytest.raises(ValueError):
-            SudowoodoCleaner(serialization="bogus")
+        with pytest.raises(ValueError, match="serialization"):
+            SudowoodoSession().task("clean", serialization="bogus")
 
-    def test_context_schema_includes_determinant(self, beers, generator):
-        cleaner = self.tiny_cleaner()
-        window = cleaner._context_schema(beers, "city")
+    def test_context_schema_includes_determinant(self, beers):
+        window = context_schema(beers, "city")
         assert "brewery_id" in window  # brewery_id -> city FD
         assert "city" in window

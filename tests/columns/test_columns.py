@@ -1,21 +1,22 @@
-"""Tests for column matching, clustering, and Sherlock/Sato baselines."""
+"""Tests for the ``column_match`` task, clustering, and Sherlock/Sato
+baselines."""
 
 import numpy as np
 import pytest
 
+from repro.api import SudowoodoConfig, SudowoodoSession
 from repro.columns import (
-    ColumnMatchingPipeline,
     SatoFeaturizer,
     SherlockFeaturizer,
     cluster_columns,
     cluster_purity,
-    column_config,
     discover_types,
     evaluate_feature_baseline,
     find_subtype_clusters,
     pair_features,
 )
 from repro.data.generators import generate_column_corpus
+from repro.discovery.dedupe import _networkx_clusters
 
 
 @pytest.fixture(scope="module")
@@ -23,8 +24,9 @@ def corpus():
     return generate_column_corpus(80, seed=5)
 
 
-def tiny_column_config():
-    return column_config(
+def tiny_columns_config():
+    return SudowoodoConfig.for_task(
+        "column_match",
         dim=16,
         num_layers=1,
         num_heads=2,
@@ -44,38 +46,49 @@ def tiny_column_config():
 
 
 @pytest.fixture(scope="module")
-def pipeline(corpus):
-    return ColumnMatchingPipeline(
-        tiny_column_config(), max_values_per_column=5
-    ).pretrain_on(corpus)
+def column_task(corpus):
+    session = SudowoodoSession(tiny_columns_config())
+    session.pretrain(corpus.serialized(max_values=5))
+    return session.task("column_match", max_values_per_column=5).fit(
+        corpus, k=5, num_labels=60
+    )
 
 
 class TestColumnMatching:
-    def test_candidate_pairs_no_self_matches(self, pipeline):
-        candidates = pipeline.candidate_pairs(k=3)
+    def test_candidate_pairs_no_self_matches(self, column_task):
+        candidates = column_task.candidate_pairs(k=3)
         for i, j in candidates:
             assert i < j
 
-    def test_labeled_split_ratio(self, pipeline):
-        candidates = pipeline.candidate_pairs(k=5)
-        splits = pipeline.build_labeled_pairs(candidates, 40)
+    def test_labeled_split_ratio(self, column_task):
+        candidates = column_task.candidate_pairs(k=5)
+        splits = column_task.build_labeled_pairs(candidates, 40)
         assert len(splits["train"]) == 20
         assert len(splits["valid"]) == 10
 
-    def test_train_and_evaluate(self, pipeline):
-        report = pipeline.train_and_evaluate(k=5, num_labels=60)
-        assert 0.0 <= report.test_metrics["f1"] <= 1.0
-        assert report.num_candidates > 0
-        assert 0.0 <= report.positive_rate <= 1.0
+    def test_train_and_evaluate(self, column_task):
+        report = column_task.report()
+        # Pinned from the seeded run; F1/precision/recall are ratios of
+        # counts, so any change to the fit path shows up exactly.
+        assert column_task.evaluate() == {"precision": 0.3, "recall": 0.6, "f1": 0.4}
+        assert report.metrics == column_task.evaluate()
+        assert report.valid_metrics == {
+            "precision": 0.25,
+            "recall": 0.6666666666666666,
+            "f1": 0.36363636363636365,
+        }
+        assert report.num_candidates == 258
+        assert report.positive_rate == 10 / 30
+        assert {"embed", "blocking", "finetune", "evaluate"} <= set(report.timings)
 
-    def test_predict_edges_subset_of_candidates(self, pipeline):
-        candidates = pipeline.candidate_pairs(k=3)[:30]
-        edges = pipeline.predict_edges(candidates)
+    def test_predict_edges_subset_of_candidates(self, column_task):
+        candidates = column_task.candidate_pairs(k=3)[:30]
+        edges = column_task.predict(candidates)
         assert set(edges) <= set(candidates)
 
-    def test_blocking_finds_same_type_neighbors(self, pipeline, corpus):
+    def test_blocking_finds_same_type_neighbors(self, column_task, corpus):
         """kNN candidates should be enriched in same-type pairs."""
-        candidates = pipeline.candidate_pairs(k=5)
+        candidates = column_task.candidate_pairs(k=5)
         same = sum(corpus.same_type(i, j) for i, j in candidates)
         rate_candidates = same / len(candidates)
         rng = np.random.default_rng(0)
@@ -96,6 +109,23 @@ class TestClustering:
         as_sets = [set(c) for c in clusters]
         assert {0, 1, 2} in as_sets
         assert {5, 6} in as_sets
+
+    @pytest.mark.parametrize(
+        "seed, num_edges", [(0, 0), (1, 5), (2, 20), (3, 40), (4, 80), (5, 160)]
+    )
+    def test_matches_networkx_components(self, corpus, seed, num_edges):
+        """The union-find clustering reproduces networkx connected
+        components exactly (same clusters, same order), with isolated
+        columns, duplicate and reversed edges, and self-loops mixed in."""
+        rng = np.random.default_rng(seed)
+        n = len(corpus)
+        edges = [tuple(int(v) for v in rng.integers(0, n, size=2)) for _ in range(num_edges)]
+        edges += [(b, a) for a, b in edges[::3]]  # reversed duplicates
+        edges += edges[::4]  # exact duplicates
+        edges += [(i, i) for i in range(0, n, 7)]  # self-loops
+        clusters = cluster_columns(corpus, edges)
+        assert clusters == _networkx_clusters(n, edges)
+        assert sorted(i for cluster in clusters for i in cluster) == list(range(n))
 
     def test_purity_perfect_for_ground_truth_clusters(self, corpus):
         by_type = {}
@@ -162,12 +192,9 @@ class TestFeaturizers:
         assert pair_features(va, vb).shape == (12,)
 
     @pytest.mark.parametrize("classifier", ["LR", "GBT", "SIM"])
-    def test_feature_baseline_evaluation(self, corpus, classifier):
-        pipeline = ColumnMatchingPipeline(
-            tiny_column_config(), max_values_per_column=5
-        ).pretrain_on(corpus)
-        candidates = pipeline.candidate_pairs(k=5)
-        splits = pipeline.build_labeled_pairs(candidates, 60)
+    def test_feature_baseline_evaluation(self, corpus, column_task, classifier):
+        candidates = column_task.candidate_pairs(k=5)
+        splits = column_task.build_labeled_pairs(candidates, 60)
         result = evaluate_feature_baseline(
             corpus, SherlockFeaturizer(), splits, classifier
         )

@@ -1,9 +1,11 @@
-"""Integration tests: encoder, blocker, matcher, pipeline on tiny configs."""
+"""Integration tests: encoder, blocker, matcher, and the session's EM
+pipeline (the ``match`` task) on tiny configs."""
 
 import numpy as np
 import pytest
 
-from repro import SudowoodoConfig, SudowoodoPipeline
+from repro import SudowoodoConfig, SudowoodoSession
+from repro.api import TaskNotFittedError
 from repro.core import (
     Blocker,
     PairwiseMatcher,
@@ -242,50 +244,56 @@ class TestF1Computation:
         assert m["precision"] == 0.5 and m["recall"] == 0.5 and m["f1"] == 0.5
 
 
+def fit_match(config, dataset, label_budget):
+    """Pretrain a session on both tables, then fit its ``match`` task."""
+    session = SudowoodoSession(config)
+    session.pretrain(dataset.all_items())
+    return session, session.task("match").fit(dataset, label_budget=label_budget)
+
+
 class TestPipeline:
     def test_run_produces_report(self, dataset):
-        pipeline = SudowoodoPipeline(tiny_config())
-        report = pipeline.run(dataset, label_budget=30)
+        session, task = fit_match(tiny_config(), dataset, label_budget=30)
+        report = task.report()
         assert report.dataset == "AB"
         assert 0.0 <= report.f1 <= 1.0
         assert report.num_manual_labels == 30
         assert report.num_pseudo_labels > 0
-        assert "pretrain" in report.timings
+        assert "pretrain" in session.timer.totals
+        assert {"blocking", "pseudo_label", "finetune", "evaluate"} <= set(report.timings)
 
     def test_unsupervised_mode(self, dataset):
-        pipeline = SudowoodoPipeline(tiny_config(seed=2))
-        pipeline.pretrain_on(dataset)
-        pipeline.train_matcher(label_budget=0)
-        metrics = pipeline.evaluate("test")
+        _, task = fit_match(tiny_config(seed=2), dataset, label_budget=0)
+        metrics = task.evaluate("test")
         assert 0.0 <= metrics["f1"] <= 1.0
+        assert task.report().num_manual_labels == 0
 
-    def test_requires_pretrain_first(self):
-        pipeline = SudowoodoPipeline(tiny_config())
-        with pytest.raises(RuntimeError):
-            pipeline.block()
-        with pytest.raises(RuntimeError):
-            pipeline.train_matcher(10)
-        with pytest.raises(RuntimeError):
-            pipeline.evaluate()
+    def test_requires_pretrain_first(self, dataset):
+        session = SudowoodoSession(tiny_config())
+        with pytest.raises(RuntimeError, match="pretrain"):
+            session.task("match").fit(dataset, label_budget=10)
+        task = session.task("match", fresh=True)
+        with pytest.raises(TaskNotFittedError):
+            task.block()
+        with pytest.raises(TaskNotFittedError):
+            task.build_training_set(10)
+        with pytest.raises(TaskNotFittedError):
+            task.evaluate()
 
     def test_no_labels_no_pl_rejected(self, dataset):
-        config = tiny_config(use_pseudo_labeling=False)
-        pipeline = SudowoodoPipeline(config)
-        pipeline.pretrain_on(dataset)
-        with pytest.raises(RuntimeError):
-            pipeline.train_matcher(label_budget=0)
+        session = SudowoodoSession(tiny_config(use_pseudo_labeling=False))
+        session.pretrain(dataset.all_items())
+        with pytest.raises(RuntimeError, match="no training examples"):
+            session.task("match").fit(dataset, label_budget=0)
 
     def test_pseudo_quality_available(self, dataset):
-        pipeline = SudowoodoPipeline(tiny_config(seed=3))
-        pipeline.pretrain_on(dataset)
-        pipeline.train_matcher(label_budget=20)
-        quality = pipeline.pseudo_label_quality()
+        _, task = fit_match(tiny_config(seed=3), dataset, label_budget=20)
+        quality = task.report().pseudo_quality
         assert set(quality) == {"tpr", "tnr"}
 
     def test_class_balance_weights_applied(self, dataset):
-        pipeline = SudowoodoPipeline(tiny_config())
-        pipeline.pretrain_on(dataset)
-        train, _ = pipeline.build_training_set(30)
+        _, task = fit_match(tiny_config(), dataset, label_budget=30)
+        train, _ = task.build_training_set(30)
         pos_weights = {e.weight for e in train if e.label == 1}
         neg_weights = {e.weight for e in train if e.label == 0}
         assert max(pos_weights) > max(neg_weights)

@@ -1,15 +1,15 @@
 """Serving-layer tests: EmbeddingStore caching + persistence, ANN backend
 parity and mutability, the streaming MatchService APIs, incremental
-blocking, and single-encoding pipeline integration."""
+blocking, and single-encoding session integration."""
 
 import numpy as np
 import pytest
 
+from repro.api import SudowoodoSession
 from repro.core import (
     Blocker,
     SudowoodoConfig,
     SudowoodoEncoder,
-    SudowoodoPipeline,
     build_tokenizer,
 )
 from repro.data.generators import load_em_benchmark
@@ -641,16 +641,12 @@ class TestIncrementalBlocker:
         assert candidate_set.num_b == blocker.num_live_b
         assert all(b != ids[0] for _, b in candidate_set.pairs)
 
-    def test_pipeline_streaming_wrappers(self, dataset):
-        pipeline = SudowoodoPipeline(tiny_config())
-        pipeline.pretrain_on(dataset)
-        pipeline.pseudo_labels(8)
-        assert pipeline._pseudo is not None
-        ids = pipeline.upsert_records(["[COL] name [VAL] piped record"])
-        assert pipeline._pseudo is None  # stale pseudo labels invalidated
-        assert pipeline.block(k=2).num_b == len(dataset.table_b) + 1
-        pipeline.delete_records(ids)
-        assert pipeline.block(k=2).num_b == len(dataset.table_b)
+    def test_block_task_streams_through_its_blocker(self, dataset):
+        block = pretrained_session(dataset).task("block").fit(dataset, k=2)
+        ids = block.blocker.upsert_b(["[COL] name [VAL] piped record"])
+        assert block.predict().num_b == len(dataset.table_b) + 1
+        block.blocker.delete_b(ids)
+        assert block.predict().num_b == len(dataset.table_b)
 
 
 # ----------------------------------------------------------------------
@@ -721,68 +717,71 @@ class TestBlockerAndService:
 
 
 # ----------------------------------------------------------------------
+def pretrained_session(dataset, **overrides) -> SudowoodoSession:
+    session = SudowoodoSession(tiny_config(**overrides))
+    session.pretrain(dataset.all_items())
+    return session
+
+
 class TestPipelineIntegration:
     def test_single_encoding_per_run(self, dataset):
-        pipeline = SudowoodoPipeline(tiny_config())
-        pipeline.pretrain_on(dataset)
-        pipeline.block(k=3)
-        corpus_size = len(pipeline.store)
-        misses = pipeline.store.misses
+        session = pretrained_session(dataset, finetune_epochs=1)
+        session.task("block").fit(dataset, k=3)
+        corpus_size = len(session.store)
+        misses = session.store.misses
         assert misses == corpus_size  # every unique record encoded exactly once
 
-        pipeline.block(k=5)
-        pipeline.pseudo_labels(8)
-        service = pipeline.match_service()
+        session.task("block").predict(k=5)
+        session.task("match").fit(dataset, label_budget=8)  # blocks + pseudo-labels
+        service = session.serve("match")
         service.embed_batch(dataset.all_items())
-        assert pipeline.store.misses == misses  # warm cache across tasks
+        assert session.store.misses == misses  # warm cache across tasks
 
-    def test_store_cleared_after_finetune(self, dataset):
-        """Fine-tuning mutates the encoder in place, so the pipeline must
-        drop cached (now stale) vectors before serving continues."""
-        pipeline = SudowoodoPipeline(tiny_config(finetune_epochs=1, multiplier=2))
-        pipeline.pretrain_on(dataset)
-        pipeline.block(k=3)
-        assert len(pipeline.store) > 0
-        pipeline.train_matcher(label_budget=16)
-        assert len(pipeline.store) == 0  # stale pre-finetune vectors dropped
-        service = pipeline.match_service()
-        # Regression: an empty store is falsy (defines __len__); the service
-        # must still share it rather than silently creating a fresh one.
-        assert service.store is pipeline.store
+    def test_store_kept_after_finetune(self, dataset, encoder):
+        """Fine-tuning trains an encoder checkout, so the shared cached
+        vectors stay valid and the served task keeps using them."""
+        session = pretrained_session(dataset, finetune_epochs=1, multiplier=2)
+        session.task("block").fit(dataset, k=3)
+        cached = len(session.store)
+        assert cached > 0
+        session.task("match").fit(dataset, label_budget=16)
+        assert len(session.store) == cached
+        service = session.serve("match", index=False)
+        assert service.store is session.store
         probabilities = service.match_pairs(
             [(dataset.serialize_a(0), dataset.serialize_b(0))]
         )
         assert probabilities.shape == (1, 2)
+        # Regression: an empty store is falsy (defines __len__); a service
+        # must still share it rather than silently creating a fresh one.
+        empty = EmbeddingStore(encoder)
+        assert MatchService(encoder, store=empty).store is empty
 
     def test_finetune_changes_fingerprint_and_invalidates_cache(
         self, dataset, tmp_path
     ):
-        """The PR 1 invalidation contract: in-place fine-tuning mutates the
-        encoder, so (a) ``encoder_fingerprint()`` changes and (b) a cache
-        saved pre-finetune strict-load-fails into the updated encoder."""
-        pipeline = SudowoodoPipeline(tiny_config(finetune_epochs=1, multiplier=2))
-        pipeline.pretrain_on(dataset)
-        pipeline.block(k=3)
-        fingerprint_before = pipeline.store.encoder_fingerprint()
-        path = pipeline.store.save(tmp_path / "pre_finetune.npz")
+        """The cache invalidation contract: fine-tuning changes the encoder,
+        so (a) ``encoder_fingerprint()`` changes and (b) a cache saved
+        before fine-tuning strict-load-fails into the fine-tuned encoder.
+        The session's own encoder is untouched, so its cache still loads."""
+        session = pretrained_session(dataset, finetune_epochs=1, multiplier=2)
+        session.task("block").fit(dataset, k=3)
+        path = session.store.save(tmp_path / "pre_finetune.npz")
 
-        pipeline.train_matcher(label_budget=16)
+        task = session.task("match").fit(dataset, label_budget=16)
 
-        fingerprint_after = pipeline.store.encoder_fingerprint()
-        assert fingerprint_after != fingerprint_before
-        # Stale vectors were dropped by the pipeline...
-        assert len(pipeline.store) == 0
-        # ...and the persisted pre-finetune cache is rejected by a strict
-        # load into the (mutated) encoder.
+        tuned = EmbeddingStore(task.matcher.encoder)
+        assert tuned.encoder_fingerprint() != session.store.encoder_fingerprint()
         with pytest.raises(ValueError, match="different encoder"):
-            pipeline.store.load(path)
+            tuned.load(path)
         # Non-strict load remains possible for callers that accept drift.
-        assert pipeline.store.load(path, strict=False) > 0
+        assert tuned.load(path, strict=False) > 0
+        assert EmbeddingStore(session.encoder).load(path) > 0
 
     def test_pipeline_lsh_backend(self, dataset):
-        config = tiny_config(ann_backend="lsh", lsh_num_tables=16, lsh_num_bits=2)
-        pipeline = SudowoodoPipeline(config)
-        pipeline.pretrain_on(dataset)
-        candidate_set = pipeline.block(k=3)
-        assert len(candidate_set) > 0
-        assert isinstance(pipeline.blocker.backend, LSHBackend)
+        session = pretrained_session(
+            dataset, ann_backend="lsh", lsh_num_tables=16, lsh_num_bits=2
+        )
+        block = session.task("block").fit(dataset, k=3)
+        assert len(block.predict()) > 0
+        assert isinstance(block.blocker.backend, LSHBackend)

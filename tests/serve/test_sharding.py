@@ -1,6 +1,6 @@
 """Sharded serving tests: shard-equivalence against the single-shard
 service, recall under churn for the approximate backends, the query
-coalescer, and the config/registry/pipeline routing."""
+coalescer, and the config/registry/session routing."""
 
 import threading
 import time
@@ -8,10 +8,10 @@ import time
 import numpy as np
 import pytest
 
+from repro.api import SudowoodoSession
 from repro.core import (
     SudowoodoConfig,
     SudowoodoEncoder,
-    SudowoodoPipeline,
     build_tokenizer,
 )
 from repro.data.generators import load_em_benchmark
@@ -497,17 +497,17 @@ class TestConfigAndRouting:
         ).candidates(k=3)
         assert sharded.pairs == single.pairs
 
-    def test_pipeline_routes_sharded_service(self, dataset):
-        pipeline = SudowoodoPipeline(tiny_config(num_shards=2))
-        pipeline.pretrain_on(dataset)
-        service = pipeline.match_service()
+    def test_session_routes_sharded_service(self, dataset):
+        session = SudowoodoSession(tiny_config(num_shards=2))
+        session.pretrain(dataset.all_items())
+        service = session.serve()
         assert isinstance(service, ShardedMatchService)
         assert service.num_shards == 2
-        assert service.store is pipeline.store  # shared warm cache
+        assert service.store is session.store  # shared warm cache
 
-        unsharded = SudowoodoPipeline(tiny_config())
-        unsharded.pretrain_on(dataset)
-        assert not isinstance(unsharded.match_service(), ShardedMatchService)
+        unsharded = SudowoodoSession(tiny_config())
+        unsharded.pretrain(dataset.all_items())
+        assert unsharded.serve().num_shards == 1
 
     def test_service_overrides_do_not_mutate_shared_config(self, encoder):
         config = tiny_config(num_shards=2)
